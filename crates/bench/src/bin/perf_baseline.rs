@@ -257,47 +257,27 @@ fn main() {
         }),
     );
 
-    // End-to-end PageRank per engine, serial vs default thread pool, plus a
-    // pipeline-off variant at t4 to isolate the compute/ship overlap win.
-    let cfg = |threads, pipeline| RunConfig {
+    // End-to-end PageRank per engine, serial vs default thread pool.
+    let cfg = |threads| RunConfig {
         num_nodes: opts.nodes,
         max_iters: 20,
         ft: FtMode::None,
         threads_per_node: threads,
-        pipeline,
         ..RunConfig::default()
     };
-    for (suffix, threads, pipeline) in [
-        ("t1", 1usize, true),
-        ("t4", 4, true),
-        ("t4_nopipe", 4, false),
-    ] {
+    for threads in [1usize, 4] {
         let s = best_of(reps(), || {
-            run_ec(
-                Workload::PageRank,
-                &g,
-                &cut,
-                cfg(threads, pipeline),
-                vec![],
-                ramfs(),
-            )
+            run_ec(Workload::PageRank, &g, &cut, cfg(threads), vec![], ramfs())
         });
         record(
-            &format!("ec_pagerank_e2e_{suffix}"),
+            &format!("ec_pagerank_e2e_t{threads}"),
             s.elapsed.as_secs_f64(),
         );
         let s = best_of(reps(), || {
-            run_vc(
-                Workload::PageRank,
-                &g,
-                &vcut,
-                cfg(threads, pipeline),
-                vec![],
-                ramfs(),
-            )
+            run_vc(Workload::PageRank, &g, &vcut, cfg(threads), vec![], ramfs())
         });
         record(
-            &format!("vc_pagerank_e2e_{suffix}"),
+            &format!("vc_pagerank_e2e_t{threads}"),
             s.elapsed.as_secs_f64(),
         );
     }
@@ -425,25 +405,40 @@ fn main() {
     }
 
     // Flat JSON, hand-rolled (no serde in the sanctioned dependency list).
-    // `commit` stamps the exact tree the numbers were measured at, so a
-    // diff between two BENCH_engine.json files is attributable.
-    let commit = std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string());
+    // `commit` stamps the tree the numbers were measured at, so a diff
+    // between two BENCH_engine.json files is attributable; `dirty` says the
+    // measured tree had uncommitted changes to tracked files, i.e. it was
+    // *not* exactly `commit` (this run's own output file does not count).
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+    };
+    let commit =
+        git(&["rev-parse", "HEAD"]).map_or_else(|| "unknown".to_string(), |s| s.trim().to_string());
+    let dirty = git(&[
+        "status",
+        "--porcelain",
+        "--untracked-files=no",
+        "--",
+        ".",
+        ":(exclude)BENCH_engine.json",
+    ])
+    .is_some_and(|s| !s.trim().is_empty());
     let mut json = String::from("{\n");
     json.push_str(&format!(
-        "  \"meta\": {{\"vertices\": {}, \"edges\": {}, \"nodes\": {}, \"seed\": {}, \"reps\": {}, \"cores\": {}, \"commit\": \"{}\"}},\n",
+        "  \"meta\": {{\"vertices\": {}, \"edges\": {}, \"nodes\": {}, \"seed\": {}, \"reps\": {}, \"cores\": {}, \"commit\": \"{}\", \"dirty\": {}}},\n",
         g.num_vertices(),
         g.num_edges(),
         opts.nodes,
         opts.seed,
         n,
         cores,
-        commit
+        commit,
+        dirty
     ));
     json.push_str("  \"seconds\": {\n");
     for (i, (name, secs)) in results.iter().enumerate() {

@@ -4,12 +4,11 @@
 //! replicas, mirrors, Rebirth, Migration, checkpoint baseline) instantiated
 //! over two computation models. This module holds everything the protocol
 //! shares — the BSP main loop with failure detection and dispatch, standby
-//! wake-up, sync-record batching with redundant-sync suppression
-//! staging/commit, checkpoint scheduling, and run assembly — parameterized
-//! by a [`ComputeModel`]. The model contributes only what genuinely differs:
-//! the superstep body (fused compute vs distributed gather-apply), codec
-//! entry points, and the reconstruction primitives the recovery state
-//! machine (`recovery.rs`) composes.
+//! wake-up, sync-record batching and accounting, checkpoint scheduling, and
+//! run assembly — parameterized by a [`ComputeModel`]. The model contributes
+//! only what genuinely differs: the superstep body (fused compute vs
+//! distributed gather-apply), codec entry points, and the reconstruction
+//! primitives the recovery state machine (`recovery.rs`) composes.
 
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -19,7 +18,7 @@ use imitator_cluster::{
     BarrierOutcome, Cluster, Envelope, FailPoint, FailureInjector, FailurePlan, NodeCtx, NodeId,
     WireCodec,
 };
-use imitator_engine::{CopyKind, Degrees, FtPlan, InOrder, MasterUpdate, WorkerPool};
+use imitator_engine::{CopyKind, Degrees, FtPlan, MasterUpdate, WorkerPool};
 use imitator_graph::Vid;
 use imitator_metrics::{CommKind, MemSize, Stopwatch};
 use imitator_storage::codec::{Decode, Encode};
@@ -81,46 +80,28 @@ pub(crate) enum StepOutcome {
     /// all-reduce barrier (active vertices for the sparse engine, changed
     /// masters for the dense one).
     Committed(u64),
-    /// A barrier inside the superstep failed. The model has already undone
-    /// its own staged state (dropped updates, suppression rollback); the
-    /// driver stashes recovery traffic and runs the recovery state machine.
+    /// A barrier inside the superstep failed. The model has already dropped
+    /// its staged updates; the driver stashes recovery traffic and runs the
+    /// recovery state machine.
     Failed(Vec<NodeId>),
 }
 
 /// Node-indexed sync-batch scratch, allocated once per node and drained
-/// every iteration (deterministic send order, no per-iteration hashing).
-///
-/// Staging is split from shipping so the pipelined driver can ship each
-/// chunk's batch while later chunks still compute: `batches`/`batch_bytes`
-/// hold the *unshipped* records, while the `tot_*` accumulators carry
-/// whole-superstep per-destination totals that [`flush_sync_acct`] turns
-/// into exactly one `comm`/`ft_comm` record per destination per superstep —
-/// so logical comm accounting is invariant under chunking.
+/// every superstep (deterministic send order, no per-iteration hashing).
 pub(crate) struct SyncBufs<V> {
-    pub batches: Vec<Vec<VertexSync<V>>>,
-    /// Accounted wire bytes of the unshipped batch, per destination.
-    batch_bytes: Vec<u64>,
-    /// Superstep totals, per destination (flushed at the tail fence).
-    tot_entries: Vec<u64>,
-    tot_bytes: Vec<u64>,
-    tot_ft: Vec<u64>,
-    /// Previous record's position per destination — the running base of the
-    /// columnar frame's delta-encoded position column. Persists across
-    /// chunk ships within one superstep (the whole superstep is accounted
-    /// as one logical frame per destination) and resets at the accounting
-    /// flush.
-    prev_pos: Vec<u32>,
+    batches: Vec<Vec<VertexSync<V>>>,
+    /// Accounted column bytes of each destination's batch.
+    bytes: Vec<u64>,
+    /// Records in each destination's batch that feed an extra FT replica.
+    ft: Vec<u64>,
 }
 
 impl<V> SyncBufs<V> {
     pub(crate) fn new(num_nodes: usize) -> Self {
         SyncBufs {
             batches: (0..num_nodes).map(|_| Vec::new()).collect(),
-            batch_bytes: vec![0; num_nodes],
-            tot_entries: vec![0; num_nodes],
-            tot_bytes: vec![0; num_nodes],
-            tot_ft: vec![0; num_nodes],
-            prev_pos: vec![0; num_nodes],
+            bytes: vec![0; num_nodes],
+            ft: vec![0; num_nodes],
         }
     }
 }
@@ -286,8 +267,19 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     ) -> std::collections::HashMap<NodeId, Vec<Vid>>;
     /// Places a granted replica, returning its local position.
     fn place_granted(&self, lg: &mut Self::Graph, grant: ReplicaGrant<Self::Value>) -> u32;
-    /// Migration R4: wire promoted masters' edges / adopt reloaded edges.
-    fn migration_wire(&self, lg: &mut Self::Graph, mig: &mut Mig<Self::MigExtra>, resume: u64);
+    /// Migration R4: wire promoted masters' edges / adopt reloaded edges,
+    /// and recompute whatever promotion left stale (the sparse engine's
+    /// selfish masters). The graph arrives behind an `Arc` so the model can
+    /// fan read-only passes out on `pool` (same contract as
+    /// [`ComputeModel::superstep`]).
+    fn migration_wire(
+        &self,
+        lg: &mut Arc<Self::Graph>,
+        shared: &Shared<Self>,
+        mig: &mut Mig<Self::MigExtra>,
+        resume: u64,
+        pool: &WorkerPool,
+    );
     /// Places a brand-new FT replica from a mirror update, returning its
     /// local position.
     fn place_fresh_mirror(
@@ -370,11 +362,7 @@ where
         let ctx = cluster.take_ctx(NodeId::from_index(p));
         let shared = Arc::clone(&shared);
         handles.push(std::thread::spawn(move || {
-            let mut st = NodeState::new(
-                shared.cfg.num_nodes,
-                Instant::now(),
-                shared.cfg.sync_suppress,
-            );
+            let mut st = NodeState::new(shared.cfg.num_nodes, Instant::now());
             if matches!(shared.cfg.ft, FtMode::Checkpoint { .. }) {
                 let sw = Stopwatch::start();
                 shared.dfs.write(
@@ -418,8 +406,6 @@ where
         extra_replicas,
         cluster.comm_breakdown(),
     );
-    report.pipeline = cfg.pipeline;
-    report.delta_sync = cfg.delta_sync;
     report.suspicion = cluster.coordinator().suspicion_stats();
     let mut values: Vec<Option<M::Value>> = vec![None; num_vertices];
     for lg in &graphs {
@@ -444,11 +430,7 @@ fn standby_main<M: ComputeModel>(
     shared: &Arc<Shared<M>>,
 ) -> Option<NodeOutcome<M::Graph>> {
     let ctx = cluster.wait_standby(Duration::from_secs(600))?;
-    let mut st = NodeState::new(
-        shared.cfg.num_nodes,
-        Instant::now(),
-        shared.cfg.sync_suppress,
-    );
+    let mut st = NodeState::new(shared.cfg.num_nodes, Instant::now());
     // The newbie's reload/reconstruct/replay phases fan out on the same
     // worker pool the node keeps for compute once it joins the main loop.
     let pool = WorkerPool::new(shared.cfg.threads_per_node);
@@ -479,7 +461,6 @@ fn node_main<M: ComputeModel>(
     pool: WorkerPool,
 ) -> NodeOutcome<M::Graph> {
     let me = ctx.id();
-    st.sync_filter.set_domain(lg.len() as u32);
     let mut scratch = shared.model.init_scratch(&lg, shared);
     let mut lg = Arc::new(lg);
     loop {
@@ -643,183 +624,70 @@ fn absorb_pool<T>(st: &mut NodeState<T>, pool: &WorkerPool) {
     st.pool.peak_busy = peak_busy;
 }
 
-/// Stages one slice of master updates into the per-destination sync
-/// batches, including the mirrors' dynamic state. Selfish masters (§4.4)
-/// send nothing — their only replicas are FT replicas.
+/// Ships one superstep's master updates to their replicas, including the
+/// mirrors' dynamic state, as one envelope per destination, and records the
+/// superstep's comm accounting. Selfish masters (§4.4) send nothing — their
+/// only replicas are FT replicas.
 ///
-/// Staging runs on the main thread in ascending-position order (serial
-/// order), so suppression decisions, delta spans and byte accounting are
-/// identical whether the whole update set arrives at once or chunk by
-/// chunk from the pipelined pool. Per-record wire bytes are charged to the
-/// `SyncBufs` accumulators here; [`ship_staged_syncs`] moves batches onto
-/// the fabric and [`flush_sync_acct`] records the superstep totals.
-///
-/// `stage_scatter` keys the suppression filter on the scatter bit too (the
-/// sparse engine's replicas replay it; the dense engine's receivers apply
-/// the value only, matching the full-sync rounds recovery sends).
-pub(crate) fn stage_update_syncs<M: ComputeModel>(
+/// Records are staged in ascending-position order, so the send order and
+/// the byte accounting are a pure function of the committed state. Each
+/// destination's records form one columnar frame: per-record column bytes
+/// (position delta against the previous record toward that destination,
+/// plus the full value) and one frame header.
+pub(crate) fn ship_syncs<M: ComputeModel>(
+    ctx: &Ctx<M>,
     lg: &M::Graph,
-    updates: &[MasterUpdate<M::Value>],
     shared: &Shared<M>,
     st: &mut St<M>,
     bufs: &mut SyncBufs<M::Value>,
-    stage_scatter: bool,
+    updates: &[MasterUpdate<M::Value>],
 ) {
-    let mut suppressed = 0u64;
     for u in updates {
         let i = lg.vid(u.local).index();
         if *shared.plan.selfish.get(i).unwrap_or(&false) {
             continue;
         }
         let meta = lg.meta(u.local).expect("masters always carry full state");
-        let staged = st
-            .sync_filter
-            .stage(u.local, &u.value, stage_scatter && u.activate);
         let vb = shared.model.value_wire_bytes(&u.value);
         for (&node, &rpos) in meta.replica_nodes().iter().zip(meta.replica_positions()) {
-            if st.sync_filter.suppress(staged, node) {
-                suppressed += 1;
-                continue;
-            }
-            // Accounted record size: the record's columnar frame columns —
-            // position delta against the previous record staged toward this
-            // destination, plus the value column (a byte-span delta when
-            // the destination provably holds the base). Decided at stage
-            // time → invariant under chunking.
             let n = node.index();
-            let span = if shared.cfg.delta_sync {
-                st.sync_filter.delta_span(staged, node)
-            } else {
-                None
-            };
-            let bytes = crate::wire::sync_record_bytes(rpos, bufs.prev_pos[n], vb, span);
-            bufs.prev_pos[n] = rpos;
+            let prev = bufs.batches[n].last().map_or(0, |s| s.pos);
+            bufs.bytes[n] += crate::wire::sync_record_bytes(rpos, prev, vb, None);
             bufs.batches[n].push(VertexSync {
                 pos: rpos,
                 value: u.value.clone(),
                 activate: u.activate,
             });
-            bufs.batch_bytes[n] += bytes;
-            bufs.tot_entries[n] += 1;
-            bufs.tot_bytes[n] += bytes;
             let extra = shared
                 .plan
                 .extra_replicas
                 .get(i)
                 .is_some_and(|e| e.contains(&node));
             if extra {
-                bufs.tot_ft[n] += 1;
+                bufs.ft[n] += 1;
             }
         }
     }
-    st.note_suppressed(suppressed);
-}
-
-/// Ships every non-empty staged batch onto the fabric (one envelope per
-/// destination) and returns how many envelopes went out. The pipelined
-/// driver calls this once per chunk; the strict driver once per phase.
-pub(crate) fn ship_staged_syncs<M: ComputeModel>(
-    ctx: &Ctx<M>,
-    bufs: &mut SyncBufs<M::Value>,
-) -> u64 {
-    let mut shipped = 0;
     for (n, batch) in bufs.batches.iter_mut().enumerate() {
         if batch.is_empty() {
             continue;
         }
-        shipped += 1;
+        let entries = batch.len() as u64;
+        let col_bytes = std::mem::take(&mut bufs.bytes[n]);
+        let ft = std::mem::take(&mut bufs.ft[n]);
         ctx.send_kind(
             NodeId::from_index(n),
             ProtoMsg::Sync(std::mem::take(batch)),
-            std::mem::take(&mut bufs.batch_bytes[n]),
+            col_bytes,
             CommKind::Sync,
         );
-    }
-    shipped
-}
-
-/// Records the superstep's per-destination sync totals into the node's
-/// logical comm stats — exactly one record per destination per superstep
-/// with the FT share pro-rata on whole-superstep entry counts, so the
-/// accounting (and the golden hashes over it) is bit-identical whether the
-/// batches shipped whole or chunk by chunk.
-pub(crate) fn flush_sync_acct<M: ComputeModel>(st: &mut St<M>, bufs: &mut SyncBufs<M::Value>) {
-    for n in 0..bufs.tot_entries.len() {
-        let entries = std::mem::take(&mut bufs.tot_entries[n]);
-        let col_bytes = std::mem::take(&mut bufs.tot_bytes[n]);
-        let ft = std::mem::take(&mut bufs.tot_ft[n]);
-        bufs.prev_pos[n] = 0;
-        if entries == 0 {
-            continue;
-        }
-        // One frame header (tag + count + flag bitmap) per destination per
-        // superstep, on top of the per-record column bytes charged at stage
-        // time: the superstep's records toward one destination are one
-        // logical columnar frame, however many envelope chunks shipped.
         let bytes = col_bytes + crate::wire::sync_frame_overhead(entries);
         st.comm.record(entries, bytes);
         if ft > 0 {
             // FT share estimated pro-rata on entry count.
-            st.ft_comm.record(ft, bytes * ft / entries.max(1));
+            st.ft_comm.record(ft, bytes * ft / entries);
         }
     }
-}
-
-/// Drains an update-producing chunk iterator and handles the whole
-/// stage/ship/account dance for the phase, in both execution modes:
-///
-/// * **Pipelined** (`cfg.pipeline`): each chunk's sync batch is staged and
-///   shipped the moment the chunk completes, while later chunks are still
-///   computing on the pool — the sync barrier fences only the tail. Time
-///   spent staging while compute was still outstanding is recorded as
-///   `overlap` and counted in the pool stats.
-/// * **Strict**: all chunks are drained first, then the phase stages and
-///   ships once.
-///
-/// Returns the concatenated updates, which are identical in either mode:
-/// chunks are disjoint ascending ranges consumed in submission order, so
-/// the staged record sequence — and with [`flush_sync_acct`]'s tail flush,
-/// the comm accounting — is a pure function of the inputs.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pump_update_syncs<M: ComputeModel>(
-    ctx: &Ctx<M>,
-    lg: &M::Graph,
-    shared: &Shared<M>,
-    st: &mut St<M>,
-    bufs: &mut SyncBufs<M::Value>,
-    chunks: &mut InOrder<Vec<MasterUpdate<M::Value>>>,
-    sw: &mut Stopwatch,
-    phase: &'static str,
-    stage_scatter: bool,
-) -> Vec<MasterUpdate<M::Value>> {
-    let mut updates: Vec<MasterUpdate<M::Value>> = Vec::new();
-    if shared.cfg.pipeline {
-        while let Some(chunk) = chunks.next() {
-            let outstanding = chunks.outstanding() > 0;
-            let stage_sw = Stopwatch::start();
-            stage_update_syncs::<M>(lg, &chunk, shared, st, bufs, stage_scatter);
-            let shipped = ship_staged_syncs::<M>(ctx, bufs);
-            if outstanding {
-                // Staging/shipping overlapped with outstanding chunk work.
-                let d = stage_sw.elapsed();
-                st.pool.overlap += d;
-                st.phases.record("overlap", d);
-                st.pool.early_batches += shipped;
-            }
-            updates.extend(chunk);
-        }
-        st.phases.record(phase, sw.lap());
-    } else {
-        for chunk in chunks {
-            updates.extend(chunk);
-        }
-        st.phases.record(phase, sw.lap());
-        stage_update_syncs::<M>(lg, &updates, shared, st, bufs, stage_scatter);
-        ship_staged_syncs::<M>(ctx, bufs);
-    }
-    flush_sync_acct::<M>(st, bufs);
-    st.phases.record("send", sw.lap());
-    updates
 }
 
 /// Marks this iteration's updates dirty for incremental checkpointing.

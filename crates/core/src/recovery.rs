@@ -72,7 +72,6 @@ use crate::driver::{
 use crate::msg::{MirrorUpdate, Promotion, ProtoMsg, RebirthBatch, ReplicaGrant, VertexSync};
 use crate::plan::{responsible_mirror, ReplicaMeta};
 use crate::report::RecoveryReport;
-use crate::suppress::SyncFilter;
 use crate::{FtMode, RecoveryStrategy};
 
 /// Per-destination batches of mirror designations / full-state refreshes
@@ -233,13 +232,10 @@ struct Undo<M: ComputeModel> {
     overlay: HashMap<Vid, NodeId>,
     mirror_assign: Vec<usize>,
     alive: Vec<bool>,
-    sync_filter: SyncFilter,
     dirty: HashSet<u32>,
     iter: u64,
     replay_until: u64,
     last_snapshot_iter: u64,
-    suppressed_syncs: u64,
-    suppressed_timeline: Vec<(u64, u64)>,
 }
 
 impl<M: ComputeModel> Undo<M> {
@@ -249,13 +245,10 @@ impl<M: ComputeModel> Undo<M> {
             overlay: st.overlay.clone(),
             mirror_assign: st.mirror_assign.clone(),
             alive: st.alive.clone(),
-            sync_filter: st.sync_filter.clone(),
             dirty: st.dirty.clone(),
             iter: st.iter,
             replay_until: st.replay_until,
             last_snapshot_iter: st.last_snapshot_iter,
-            suppressed_syncs: st.suppressed_syncs,
-            suppressed_timeline: st.suppressed_timeline.clone(),
         }
     }
 
@@ -264,13 +257,10 @@ impl<M: ComputeModel> Undo<M> {
         st.overlay = self.overlay.clone();
         st.mirror_assign = self.mirror_assign.clone();
         st.alive = self.alive.clone();
-        st.sync_filter = self.sync_filter.clone();
         st.dirty = self.dirty.clone();
         st.iter = self.iter;
         st.replay_until = self.replay_until;
         st.last_snapshot_iter = self.last_snapshot_iter;
-        st.suppressed_syncs = self.suppressed_syncs;
-        st.suppressed_timeline = self.suppressed_timeline.clone();
     }
 }
 
@@ -1028,7 +1018,9 @@ fn migrate<M: ComputeModel>(
         placements.entry(master_node).or_default().push((vid, pos));
         mig.recovered += 1;
     }
-    shared.model.migration_wire(g, &mut mig, resume_iter);
+    shared
+        .model
+        .migration_wire(lg, shared, &mut mig, resume_iter, pool);
     for &n in &others {
         let p = placements.remove(&n).unwrap_or_default();
         let bytes = (p.len() * 8) as u64;
@@ -1324,19 +1316,12 @@ fn migrate<M: ComputeModel>(
 /// snapshot chain (base full epoch + later deltas; see
 /// [`epoch::recovery_chain`]). Full mode applies only the newest complete
 /// epoch. When no complete epoch exists yet, recovery restarts from the
-/// initial state — in both modes the masters then no longer hold their
-/// last-shipped values, so the suppression filter's entries describe
-/// nothing anymore and are cleared. A full snapshot restores masters only;
-/// surviving replicas keep exactly the state our last syncs installed, so
-/// the filter stays valid toward survivors and only the crashed
-/// destinations are invalidated (their replacements are rebuilt from
-/// snapshots — everything must be re-shipped there).
-#[allow(clippy::too_many_arguments)]
+/// initial state. Snapshots hold masters only; the full-sync round that
+/// follows refreshes every replica.
 fn ckpt_reload_survivor<M: ComputeModel>(
     lg: &mut Arc<M::Graph>,
     shared: &Arc<Shared<M>>,
     st: &mut St<M>,
-    dead: &[NodeId],
     me: NodeId,
     incremental: bool,
     pool: &WorkerPool,
@@ -1344,19 +1329,14 @@ fn ckpt_reload_survivor<M: ComputeModel>(
     let snap_iter = if incremental {
         let g = graph_mut(lg);
         shared.model.reset_to_initial(g, shared);
-        st.sync_filter.clear();
         apply_snapshot_chain::<M>(g, shared, me, Some(pool))
     } else {
         match epoch::recovery_chain(&shared.dfs, M::PREFIX, me.raw()) {
             Err(_) => {
                 shared.model.reset_to_initial(graph_mut(lg), shared);
-                st.sync_filter.clear();
                 0
             }
             Ok(chain) => {
-                for &d in dead {
-                    st.sync_filter.invalidate_dest(d);
-                }
                 // Full mode writes only full epochs, so the chain is the
                 // newest complete epoch alone.
                 let &(e, _) = chain.epochs.last().expect("recovery chain is never empty");
@@ -1406,7 +1386,7 @@ fn ckpt_recover_survivor<M: ComputeModel>(
             ..
         }
     );
-    let snap_iter = ckpt_reload_survivor(lg, shared, st, dead, me, incremental, pool);
+    let snap_iter = ckpt_reload_survivor(lg, shared, st, me, incremental, pool);
     let reload = sw.elapsed();
     phases.record("reload", reload);
     let sw = Stopwatch::start();
@@ -1491,7 +1471,6 @@ fn ckpt_fallback<M: ComputeModel>(
         .filter(|(i, _)| survivors[i % survivors.len()] == me)
         .map(|(_, &d)| d)
         .collect();
-    let adopter = !my_partitions.is_empty();
     let mut mig: Mig<M::MigExtra> = Mig::default();
     let mut phases = PhaseTimes::new();
     let mut sw_round = Stopwatch::start();
@@ -1499,7 +1478,7 @@ fn ckpt_fallback<M: ComputeModel>(
     // ---- Round 1: roll back, graft assigned dead partitions, announce.
     fail_here(ctx, shared, resume_iter, FailPoint::MigrationRound(1))?;
     let sw = Stopwatch::start();
-    let snap_iter = ckpt_reload_survivor(lg, shared, st, dead, me, incremental, pool);
+    let snap_iter = ckpt_reload_survivor(lg, shared, st, me, incremental, pool);
     {
         // The dead nodes are gone for good: purge them from every
         // pre-existing master's replica tables (the adopters purge their
@@ -1548,13 +1527,6 @@ fn ckpt_fallback<M: ComputeModel>(
         promotions.extend(adoption.promotions);
         placements.extend(adoption.placements);
         orphans.extend(adoption.orphans);
-    }
-    if adopter {
-        // The graft grew (and rewrote) this node's layout: the filter's
-        // position-keyed entries are meaningless now. Re-seeding re-ships
-        // everything in the full sync, which the grafted copies need anyway.
-        st.sync_filter.set_domain(lg.len() as u32);
-        st.sync_filter.clear();
     }
     for &n in &others {
         let bytes = (promotions.len() * 20) as u64;
@@ -1809,14 +1781,6 @@ pub(crate) fn ckpt_newbie<M: ComputeModel>(
 
 /// Post-reload replica refresh: every master pushes its restored state to
 /// all of its replicas (one full sync round with its own barriers).
-///
-/// Records already installed on a destination by our last regular syncs are
-/// suppressed (surviving replicas were not rolled back — snapshots hold
-/// masters only), which is where redundant-sync suppression pays off most:
-/// only vertices that changed since the snapshot are re-shipped to
-/// survivors. The round's barriers can abort like any other recovery
-/// barrier; an aborted attempt restores the whole filter from its undo
-/// snapshot, so the early `commit` here is safe.
 fn ckpt_full_sync<M: ComputeModel>(
     ctx: &Ctx<M>,
     lg: &mut M::Graph,
@@ -1824,21 +1788,15 @@ fn ckpt_full_sync<M: ComputeModel>(
     st: &mut St<M>,
 ) -> Attempt<()> {
     let mut batches: HashMap<NodeId, Vec<VertexSync<M::Value>>> = HashMap::new();
-    let mut suppressed = 0u64;
     for pos in 0..lg.len() as u32 {
         if !lg.is_master(pos) {
             continue;
         }
         let scatter = shared.model.scatter_bit(lg, pos);
-        let staged = st.sync_filter.stage(pos, lg.value(pos), scatter);
         let meta = lg
             .meta(pos)
             .unwrap_or_else(|| panic!("master {} has no full state", lg.vid(pos)));
         for (&node, &rpos) in meta.replica_nodes().iter().zip(meta.replica_positions()) {
-            if st.sync_filter.suppress(staged, node) {
-                suppressed += 1;
-                continue;
-            }
             batches.entry(node).or_default().push(VertexSync {
                 pos: rpos,
                 value: lg.value(pos).clone(),
@@ -1846,12 +1804,9 @@ fn ckpt_full_sync<M: ComputeModel>(
             });
         }
     }
-    st.sync_filter.commit();
-    st.note_suppressed(suppressed);
     for (node, batch) in batches {
         // One columnar sync frame per destination: frame header plus
-        // position-delta and value columns (full values — no delta base is
-        // assumed across a recovery).
+        // position-delta and value columns.
         let mut prev = 0u32;
         let mut bytes = crate::wire::sync_frame_overhead(batch.len() as u64);
         for s in &batch {
@@ -1869,7 +1824,6 @@ fn ckpt_full_sync<M: ComputeModel>(
     let incoming = collect_syncs::<M>(ctx, st);
     shared.model.apply_full_sync(lg, incoming);
     barrier_ok(ctx)?;
-    st.sync_filter.revalidate_all();
     Ok(())
 }
 

@@ -119,27 +119,16 @@ pub struct RunReport<V> {
     /// Extra FT replicas created at load (Fig. 3(b)/8(a)); zero unless
     /// replication FT is on.
     pub extra_replicas: usize,
-    /// Sync records skipped by redundant-sync suppression across all nodes
-    /// (each would have cost its wire bytes; results are bit-identical with
-    /// suppression off).
+    /// Always 0: the engine ships every sync record in full. Kept so report
+    /// consumers that read it (and hashes that fold it in) stay unchanged.
     pub suppressed_syncs: u64,
-    /// `(iteration, records skipped)` per superstep, summed across nodes;
-    /// sparse — only nonzero supersteps appear.
-    pub suppressed_timeline: Vec<(u64, u64)>,
     /// Fabric-level observability: traffic split by message kind
     /// (sync / gather / recovery / control) plus total barrier-wait time, as
     /// recorded by the communication layer itself.
     pub fabric: CommBreakdown,
-    /// Worker-pool / pipelining observability: chunk jobs dispatched, peak
-    /// worker occupancy, envelopes shipped ahead of the tail fence, and
-    /// staging time overlapped with compute (summed / maxed across nodes).
+    /// Worker-pool observability: chunk jobs dispatched and peak worker
+    /// occupancy (summed / maxed across nodes).
     pub pool: PoolStats,
-    /// Whether supersteps were pipelined (config echo; see
-    /// [`crate::RunConfig::pipeline`]).
-    pub pipeline: bool,
-    /// Whether sync records were delta-encoded (config echo; see
-    /// [`crate::RunConfig::delta_sync`]).
-    pub delta_sync: bool,
     /// Failure-detector activity over the whole run: suspicions raised,
     /// retracted (false positives caught before the fence), confirmed, and
     /// the summed observed detection latency in detector ticks. All-zero

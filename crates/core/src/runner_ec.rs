@@ -146,6 +146,89 @@ impl<V> ModelGraph for EcLocalGraph<V> {
     }
 }
 
+impl<P> EcModel<P>
+where
+    P: VertexProgram,
+    P::Value: Encode + Decode + MemSize,
+{
+    /// Recomputes the selfish masters at `positions` (ascending) from their
+    /// in-neighbours' current values (§4.4). A selfish master's FT replica
+    /// is never synced, so a master rebuilt from one — by Rebirth's replay
+    /// or Migration's promotion — still holds a stale value.
+    ///
+    /// The recompute fans out on the pool only when no recomputed master
+    /// feeds another. The serial loop recomputes in ascending position
+    /// order with *progressive* writes, so a selfish→selfish in-edge makes
+    /// a later vertex read an earlier one's fresh value; absent such edges
+    /// the snapshot recompute is bit-identical (read-after-write
+    /// independence), and with them we keep the serial loop (mutations
+    /// always stay on the protocol thread).
+    fn recompute_selfish(
+        &self,
+        lg: &mut Arc<EcLocalGraph<P::Value>>,
+        degrees: &Arc<Degrees>,
+        positions: Vec<u32>,
+        pool: &WorkerPool,
+    ) {
+        let mut selfish_mask = vec![false; lg.verts.len()];
+        for &pos in &positions {
+            selfish_mask[pos as usize] = true;
+        }
+        let independent = positions.iter().all(|&pos| {
+            lg.verts[pos as usize]
+                .in_edges
+                .iter()
+                .all(|&(src, _)| !selfish_mask[src as usize])
+        });
+        if independent {
+            let selfish: Arc<Vec<u32>> = Arc::new(positions);
+            let jobs = chunk_ranges(selfish.len(), pool.threads())
+                .into_iter()
+                .map(|r| {
+                    let lg = Arc::clone(lg);
+                    let prog = Arc::clone(&self.prog);
+                    let degrees = Arc::clone(degrees);
+                    let selfish = Arc::clone(&selfish);
+                    Box::new(move || {
+                        r.map(|i| (selfish[i], recompute(&*prog, &lg, selfish[i], &degrees)))
+                            .collect()
+                    }) as Box<dyn FnOnce() -> Vec<(u32, P::Value)> + Send>
+                })
+                .collect();
+            let updates: Vec<_> = pool.dispatch(jobs).flatten().collect();
+            let g = driver::graph_mut(lg);
+            for (pos, new) in updates {
+                g.verts[pos as usize].value = new;
+            }
+        } else {
+            let g = driver::graph_mut(lg);
+            for pos in positions {
+                g.verts[pos as usize].value = recompute(self.prog.as_ref(), g, pos, degrees);
+            }
+        }
+    }
+}
+
+/// The value the master at `pos` applies from its in-neighbours' current
+/// values (gather, combine in in-edge order, apply).
+fn recompute<P: VertexProgram>(
+    prog: &P,
+    lg: &EcLocalGraph<P::Value>,
+    pos: u32,
+    degrees: &Degrees,
+) -> P::Value {
+    let v = &lg.verts[pos as usize];
+    let mut acc: Option<P::Accum> = None;
+    for &(src, w) in &v.in_edges {
+        let c = prog.gather(w, &lg.verts[src as usize].value);
+        acc = Some(match acc {
+            None => c,
+            Some(a) => prog.combine(a, c),
+        });
+    }
+    prog.apply(v.vid, &v.value, acc, degrees)
+}
+
 impl<P> ComputeModel for EcModel<P>
 where
     P: VertexProgram,
@@ -172,12 +255,9 @@ where
     /// Compute (Algorithm 1 line 5) fused over the sparse frontier,
     /// communicate (line 6), sync barrier (line 7), commit (line 14).
     ///
-    /// Compute chunks run on the persistent pool; with pipelining each
-    /// chunk's sync batch is staged and shipped as soon as the chunk (and
-    /// all earlier chunks) completed, the sync barrier fencing only the
-    /// tail. Chunks are consumed in submission order, so staging order —
-    /// and with it suppression, delta spans and byte accounting — equals
-    /// the serial order exactly.
+    /// Compute chunks run on the persistent pool and are consumed in
+    /// submission order, so the update order — and with it the sync send
+    /// order and byte accounting — equals the serial order exactly.
     fn superstep(
         &self,
         ctx: &Ctx<Self>,
@@ -188,31 +268,19 @@ where
         pool: &WorkerPool,
     ) -> StepOutcome {
         let mut sw = Stopwatch::start();
-        let mut chunks = ec_compute_chunks(pool, lg, &self.prog, &shared.degrees, st.iter);
-        let updates = driver::pump_update_syncs::<Self>(
-            ctx,
-            &**lg,
-            shared,
-            st,
-            scratch,
-            &mut chunks,
-            &mut sw,
-            "compute",
-            true,
-        );
+        let updates: Vec<_> = ec_compute_chunks(pool, lg, &self.prog, &shared.degrees, st.iter)
+            .flatten()
+            .collect();
+        st.phases.record("compute", sw.lap());
+        driver::ship_syncs::<Self>(ctx, lg, shared, st, scratch, &updates);
+        st.phases.record("send", sw.lap());
 
         let (outcome, _) = ctx.enter_barrier_sum(0);
         st.phases.record("barrier", sw.lap());
         if let BarrierOutcome::Failed(dead) = outcome {
-            // Roll back (line 9): the staged updates were never applied
-            // anywhere, so the suppression filter forgets them too.
-            drop(updates);
-            st.sync_filter.rollback();
+            // Roll back (line 9): the staged updates were never applied.
             return StepOutcome::Failed(dead);
         }
-        // The sync barrier passed: this iteration's syncs are the replicas'
-        // new last-shipped state.
-        st.sync_filter.commit();
 
         driver::note_dirty::<Self>(st, &shared.cfg, &updates);
         let incoming: Vec<(u32, P::Value, bool)> = driver::collect_syncs::<Self>(ctx, st)
@@ -358,12 +426,7 @@ where
     /// comes from the program's initial active set instead.
     /// Replay fans its read-only passes out on the newbie's pool: activation
     /// targets and selfish-master identification in one chunked scan, then
-    /// the selfish recompute itself — parallel only when no selfish master
-    /// feeds another. The serial loop recomputes in ascending position order
-    /// with *progressive* writes, so a selfish→selfish in-edge would make a
-    /// later vertex read an earlier one's fresh value; absent such edges the
-    /// snapshot recompute is bit-identical, and with them we keep the serial
-    /// loop (mutations always stay on the protocol thread).
+    /// [`EcModel::recompute_selfish`].
     fn rebirth_replay(
         &self,
         lg: &mut Arc<Self::Graph>,
@@ -415,68 +478,7 @@ where
                 }
             }
         }
-        let mut selfish_mask = vec![false; lg.verts.len()];
-        for &pos in &selfish_positions {
-            selfish_mask[pos as usize] = true;
-        }
-        let independent = selfish_positions.iter().all(|&pos| {
-            lg.verts[pos as usize]
-                .in_edges
-                .iter()
-                .all(|&(src, _)| !selfish_mask[src as usize])
-        });
-        if independent {
-            let selfish: Arc<Vec<u32>> = Arc::new(selfish_positions);
-            let jobs = chunk_ranges(selfish.len(), pool.threads())
-                .into_iter()
-                .map(|r| {
-                    let lg = Arc::clone(lg);
-                    let prog = Arc::clone(&self.prog);
-                    let degrees = Arc::clone(&shared.degrees);
-                    let selfish = Arc::clone(&selfish);
-                    Box::new(move || {
-                        let mut out: Vec<(u32, P::Value)> = Vec::with_capacity(r.len());
-                        for i in r {
-                            let pos = selfish[i];
-                            let v = &lg.verts[pos as usize];
-                            let mut acc: Option<P::Accum> = None;
-                            for &(src, w) in &v.in_edges {
-                                let c = prog.gather(w, &lg.verts[src as usize].value);
-                                acc = Some(match acc {
-                                    None => c,
-                                    Some(a) => prog.combine(a, c),
-                                });
-                            }
-                            out.push((pos, prog.apply(v.vid, &v.value, acc, &degrees)));
-                        }
-                        out
-                    }) as Box<dyn FnOnce() -> Vec<(u32, P::Value)> + Send>
-                })
-                .collect();
-            let mut updates: Vec<(u32, P::Value)> = Vec::new();
-            for chunk in pool.dispatch(jobs) {
-                updates.extend(chunk);
-            }
-            let g = driver::graph_mut(lg);
-            for (pos, new) in updates {
-                g.verts[pos as usize].value = new;
-            }
-        } else {
-            let g = driver::graph_mut(lg);
-            for pos in selfish_positions {
-                let v = &g.verts[pos as usize];
-                let mut acc: Option<P::Accum> = None;
-                for &(src, w) in &v.in_edges {
-                    let c = self.prog.gather(w, &g.verts[src as usize].value);
-                    acc = Some(match acc {
-                        None => c,
-                        Some(a) => self.prog.combine(a, c),
-                    });
-                }
-                let new = self.prog.apply(v.vid, &v.value, acc, &shared.degrees);
-                g.verts[pos as usize].value = new;
-            }
-        }
+        self.recompute_selfish(lg, &shared.degrees, selfish_positions, pool);
         driver::graph_mut(lg).rebuild_active_frontier();
         true
     }
@@ -620,8 +622,18 @@ where
     }
 
     /// R4: wire promoted masters' in-edges from the captured sources (all
-    /// local after grant placement) and replay their activation (§5.2.3).
-    fn migration_wire(&self, lg: &mut Self::Graph, mig: &mut Mig<EcMigExtra>, resume: u64) {
+    /// local after grant placement), replay their activation (§5.2.3), and
+    /// recompute the promoted selfish masters, whose FT replicas were never
+    /// synced (§4.4).
+    fn migration_wire(
+        &self,
+        graph: &mut Arc<Self::Graph>,
+        shared: &Shared<Self>,
+        mig: &mut Mig<EcMigExtra>,
+        resume: u64,
+        pool: &WorkerPool,
+    ) {
+        let lg = driver::graph_mut(graph);
         for (pos, srcs) in &mig.extra.pending_wire {
             let mut in_edges = Vec::with_capacity(srcs.len());
             for &(src, w) in srcs {
@@ -661,6 +673,17 @@ where
                 .unwrap_or_else(|| panic!("promoted master {} has no full state", v.vid));
             meta.in_edges_owner = in_edges;
         }
+        let mut selfish: Vec<u32> = mig
+            .extra
+            .pending_wire
+            .iter()
+            .map(|&(pos, _)| pos)
+            .filter(|&pos| {
+                shared.plan.selfish.get(lg.verts[pos as usize].vid.index()) == Some(&true)
+            })
+            .collect();
+        selfish.sort_unstable();
+        self.recompute_selfish(graph, &shared.degrees, selfish, pool);
     }
 
     fn place_fresh_mirror(

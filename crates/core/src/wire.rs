@@ -19,22 +19,20 @@
 //! mirror frame : tag:0xB3  count:uvarint  vid-column  meta/value records
 //! ```
 //!
-//! Delta payloads ride on the [`crate::suppress::SyncFilter`] exactly as the
-//! scalar delta records did: the filter's per-destination validity epochs
-//! prove the receiver holds the base value, and [`min_span`] picks the
-//! minimal contiguous differing byte span at *stage* time on the main
-//! thread. A delta is chosen iff it is no larger than the full encoding —
-//! [`sync_value_bytes`] is the single size-and-choice rule shared by the
-//! encoder and the driver's byte accounting.
+//! The frame layout keeps a delta value column: a record whose sender can
+//! name a base value the receiver holds may ship only the byte span
+//! [`min_span`] finds, and [`sync_value_bytes`] is the size-and-choice rule
+//! shared by encoder and byte accounting. The engine itself stages no
+//! spans: it keeps no per-destination record of what each replica holds,
+//! so every sync record it sends and charges carries the full value.
 //!
 //! Determinism: record order within a frame is the staging order (ascending
 //! master position, fixed destination iteration), a pure function of the
-//! committed graph state — independent of thread count and pipelining. The
-//! driver charges per-record column bytes as records stage and exactly one
-//! frame header per destination per superstep when the accounting flushes,
-//! so the accounted bytes equal the encoding of the superstep's records as
-//! one frame regardless of how many envelope chunks actually shipped
-//! (`accounted_sync_frame_matches_codec` pins the equality).
+//! committed graph state — independent of thread count. The driver charges
+//! per-record column bytes plus exactly one frame header per destination
+//! per superstep, so the accounted bytes equal the encoding of the
+//! superstep's records as one frame (`accounted_sync_frame_matches_codec`
+//! pins the equality).
 
 use imitator_storage::codec::{
     read_uvarint, unzigzag64, uvarint_len, write_uvarint, zigzag64, Decode, DecodeError, Encode,
@@ -114,8 +112,8 @@ pub struct SyncRecEnc<'a> {
     pub activate: bool,
     /// Full codec encoding of the new value.
     pub value: &'a [u8],
-    /// Minimal differing span vs the value the destination holds, when the
-    /// sender's filter proves one is installed there.
+    /// Minimal differing span vs a base value the destination holds
+    /// (`None` ships the full value).
     pub span: Option<(u16, u16)>,
 }
 
@@ -214,44 +212,6 @@ pub fn decode_sync_frame<V: Decode>(
         return Err(DecodeError::TrailingBytes(r.remaining()));
     }
     Ok(out)
-}
-
-/// Decodes a single-record sync frame into raw value bytes, without a
-/// `Decode` bound: with one record the value column is the buffer's tail,
-/// so no self-delimiting decode is needed. Used by the suppression filter's
-/// debug-build codec proof, where values are only `Encode`.
-pub fn decode_sync_frame_one(
-    bytes: &[u8],
-    base: impl FnOnce() -> Vec<u8>,
-) -> Result<SyncRecDec<Vec<u8>>, DecodeError> {
-    let mut r = Reader::new(bytes);
-    if r.take(1)?[0] != SYNC_FRAME_TAG {
-        return Err(DecodeError::Corrupt("sync frame tag"));
-    }
-    if read_uvarint(&mut r)? != 1 {
-        return Err(DecodeError::Corrupt("single-record frame expected"));
-    }
-    let flags = r.take(1)?[0] & 0b11;
-    let pos = unzigzag64(read_uvarint(&mut r)?);
-    let pos = u32::try_from(pos).map_err(|_| DecodeError::Corrupt("sync position"))?;
-    let value = if flags & 2 != 0 {
-        let start = read_uvarint(&mut r)? as usize;
-        let len = read_uvarint(&mut r)? as usize;
-        let span = r.take(len)?;
-        let mut full = base();
-        if start + len > full.len() {
-            return Err(DecodeError::Corrupt("delta span exceeds base value"));
-        }
-        full[start..start + len].copy_from_slice(span);
-        full
-    } else {
-        r.take(r.remaining())?.to_vec()
-    };
-    Ok(SyncRecDec {
-        pos,
-        activate: flags & 1 != 0,
-        value,
-    })
 }
 
 /// Encodes a columnar gather frame: vid column (zigzag deltas) then the

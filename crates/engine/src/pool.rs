@@ -14,10 +14,8 @@
 //! a pure function of its inputs, so chunk-order concatenation is
 //! bit-identical to the serial phase for any thread count.
 //!
-//! The pool also unlocks pipelining: [`InOrder`] yields each chunk as soon
-//! as it (and all earlier chunks) completed, so the driver can stage and
-//! ship chunk `i`'s sync batch while chunks `i+1..` are still computing.
-//! Two invariants make that safe:
+//! [`InOrder`] yields each chunk as soon as it (and all earlier chunks)
+//! completed. Two invariants keep that safe:
 //!
 //! 1. **Results are published only after the job's captures are dropped.**
 //!    The wrapper invokes the boxed job (consuming it and its `Arc` clones
@@ -203,9 +201,7 @@ enum Inner<T> {
 }
 
 impl<T> InOrder<T> {
-    /// Number of chunk results not yet yielded. The pipelined driver uses
-    /// this to tell "staging overlapped with outstanding compute" from
-    /// "staging after the last chunk".
+    /// Number of chunk results not yet yielded.
     pub fn outstanding(&self) -> usize {
         match &self.inner {
             Inner::Inline(it) => it.len(),

@@ -29,7 +29,11 @@ cd "$(dirname "$0")/.."
 #          each carry a one-line `P::Accum: Encode + Decode` bound
 #          (rustfmt puts every where-predicate on its own line). Bounds,
 #          not logic — the wire layer itself lives in crates/cluster.
-BUDGET=1655
+#   1627 — one strict sync path: pipelined chunk shipping and the gather
+#          per-chunk accumulators are gone from both runners; the EC
+#          selfish recompute is one helper shared by Rebirth replay and
+#          Migration R4.
+BUDGET=1627
 EC=crates/core/src/runner_ec.rs
 VC=crates/core/src/runner_vc.rs
 

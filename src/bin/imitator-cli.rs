@@ -47,13 +47,6 @@ OPTIONS (run):
   --interval <n>                    CKPT interval        [default: 4]
   --incremental                     incremental CKPT snapshots (§2.3)
   --fail <node@iter>                inject a crash (repeatable)
-  --no-sync-suppress                ship every sync record (disable the
-                                    redundant-sync filter; results identical)
-  --no-pipeline                     strict compute → send phase ordering
-                                    (disable superstep pipelining; results
-                                    identical)
-  --no-delta-sync                   ship full sync records (disable delta
-                                    encoding; results identical)
   --tcp                             ship frames over loopback TCP sockets
                                     (results identical to channels)
   --lossy <seed>                    seeded drop/dup/reorder/delay fault
@@ -85,9 +78,6 @@ struct Opts {
     tolerance: usize,
     interval: u64,
     incremental: bool,
-    sync_suppress: bool,
-    pipeline: bool,
-    delta_sync: bool,
     transport: TransportKind,
     detector: DetectorKind,
     hb_interval_ms: u64,
@@ -114,9 +104,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
         tolerance: 1,
         interval: 4,
         incremental: false,
-        sync_suppress: true,
-        pipeline: true,
-        delta_sync: true,
         transport: TransportKind::Channel,
         detector: DetectorKind::Oracle,
         hb_interval_ms: 10,
@@ -153,9 +140,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
                 opts.interval = value()?.parse().map_err(|e| format!("--interval: {e}"))?;
             }
             "--incremental" => opts.incremental = true,
-            "--no-sync-suppress" => opts.sync_suppress = false,
-            "--no-pipeline" => opts.pipeline = false,
-            "--no-delta-sync" => opts.delta_sync = false,
             "--tcp" => opts.transport = TransportKind::Tcp,
             "--lossy" => {
                 let seed = value()?.parse().map_err(|e| format!("--lossy: {e}"))?;
@@ -259,24 +243,11 @@ fn report_common<V>(r: &RunReport<V>) {
         r.comm.messages,
         r.total_mem_bytes() as f64 / (1024.0 * 1024.0)
     );
-    if r.suppressed_syncs > 0 {
-        println!(
-            "suppressed {} redundant sync records across {} superstep(s)",
-            r.suppressed_syncs,
-            r.suppressed_timeline.len()
-        );
-    }
     println!("fabric: {}", r.fabric);
     if r.pool.jobs > 0 {
         println!(
-            "pool: {} chunk jobs, peak {} busy worker(s), {} batch(es) shipped early, \
-             {:.1} ms staging overlapped (pipeline {}, delta-sync {})",
-            r.pool.jobs,
-            r.pool.peak_busy,
-            r.pool.early_batches,
-            r.pool.overlap.as_secs_f64() * 1e3,
-            if r.pipeline { "on" } else { "off" },
-            if r.delta_sync { "on" } else { "off" },
+            "pool: {} chunk jobs, peak {} busy worker(s)",
+            r.pool.jobs, r.pool.peak_busy,
         );
     }
     for rec in &r.recoveries {
@@ -328,9 +299,6 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         hb_interval: Duration::from_millis(opts.hb_interval_ms),
         hb_timeout: Duration::from_millis(opts.hb_timeout_ms),
         threads_per_node: opts.threads,
-        sync_suppress: opts.sync_suppress,
-        pipeline: opts.pipeline,
-        delta_sync: opts.delta_sync,
         transport: opts.transport,
     };
     let failures: Vec<FailurePlan> = opts
@@ -477,20 +445,6 @@ mod tests {
         assert_eq!(o.ft, "rep");
         assert!(o.fails.is_empty());
         assert!(!o.incremental);
-        assert!(o.pipeline, "pipelining defaults on");
-        assert!(o.delta_sync, "delta sync defaults on");
-    }
-
-    #[test]
-    fn perf_flags_disable_pipeline_and_delta() {
-        let o = parse(&["run", "--no-pipeline"]).unwrap();
-        assert!(!o.pipeline);
-        assert!(o.delta_sync);
-        let o = parse(&["run", "--no-delta-sync"]).unwrap();
-        assert!(o.pipeline);
-        assert!(!o.delta_sync);
-        let o = parse(&["run", "--no-pipeline", "--no-delta-sync"]).unwrap();
-        assert!(!o.pipeline && !o.delta_sync);
     }
 
     #[test]
